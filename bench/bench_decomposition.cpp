@@ -12,11 +12,12 @@
 //     translated model, 4 threads, sweeping the document count. Objectives
 //     are asserted identical; the acceptance bar is decomposed ≥ 2x faster
 //     at ≥ 4 documents.
-//   BM_EngineVsPins — the full engine with decomposition on/off under a
+//   BM_EngineVsPins — the full engine (the decomposed repair core) under a
 //     sweep of documents x operator-pin fraction (pins are validation-loop
-//     confirmations at the true value; presolve chases them and cuts the
-//     incidence graph further). Counters surface the component shape and
-//     presolve reductions that RepairStats now carries.
+//     confirmations at the true value, applied as bound changes on the
+//     components they touch). Counters surface the component shape that
+//     RepairStats carries. The monolithic whole-model solve is the
+//     BM_MilpMonolithic view above.
 
 #include <benchmark/benchmark.h>
 
@@ -106,10 +107,9 @@ void BM_MilpDecomposed(benchmark::State& state) {
 
 // Full engine, documents x pin-fraction sweep. Pins confirm a deterministic
 // subset of measure cells at their true values, as the validation loop
-// would; presolve chases each pin through its z/y/δ triple and the
-// decomposition splits along the cuts.
+// would. The first argument is always 1 (decomposed): it keeps the row names
+// of the committed baseline, whose 0 rows were the monolithic engine.
 void BM_EngineVsPins(benchmark::State& state) {
-  const bool decompose = state.range(0) != 0;
   const int docs = static_cast<int>(state.range(1));
   const int pin_percent = static_cast<int>(state.range(2));
   const dart::bench::Scenario scenario = MultiDoc(docs);
@@ -125,7 +125,6 @@ void BM_EngineVsPins(benchmark::State& state) {
   }
 
   dart::repair::RepairEngineOptions options;
-  options.milp.decomposition.use_components = decompose;
   options.milp.search.num_threads = 4;
   dart::repair::RepairEngine engine(options);
   dart::repair::RepairStats stats;
@@ -138,17 +137,12 @@ void BM_EngineVsPins(benchmark::State& state) {
     stats = outcome->stats;
     cardinality = outcome->repair.cardinality();
   }
-  state.counters["decomposed"] = decompose ? 1 : 0;
   state.counters["docs"] = static_cast<double>(docs);
   state.counters["pin_pct"] = static_cast<double>(pin_percent);
   state.counters["repair_card"] = static_cast<double>(cardinality);
   state.counters["components"] = static_cast<double>(stats.num_components);
   state.counters["largest_comp_vars"] =
       static_cast<double>(stats.largest_component_vars);
-  state.counters["presolve_vars_elim"] =
-      static_cast<double>(stats.presolve_variables_eliminated);
-  state.counters["presolve_rows_rm"] =
-      static_cast<double>(stats.presolve_rows_removed);
   state.counters["bb_nodes"] = static_cast<double>(
       dart::bench::CollectRepairCounters(scenario, options, pins).nodes);
 }
@@ -168,11 +162,8 @@ BENCHMARK(BM_MilpDecomposed)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_EngineVsPins)
-    ->Args({0, 4, 0})
     ->Args({1, 4, 0})
-    ->Args({0, 4, 25})
     ->Args({1, 4, 25})
-    ->Args({0, 6, 50})
     ->Args({1, 6, 50})
     ->Unit(benchmark::kMillisecond);
 

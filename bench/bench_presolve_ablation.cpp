@@ -1,9 +1,11 @@
-// Experiment E12 (EXPERIMENTS.md): presolve ablation. Operator value pins
-// (Sec. 6.3) become singleton rows that presolve chases through the
-// y-definition and big-M rows, eliminating whole z/y/δ triples before the
-// simplex runs. This bench measures repair time with and without presolve
-// as the number of pinned cells grows — the exact workload of a validation
-// session in its later iterations.
+// Experiment E12 (EXPERIMENTS.md): presolve ablation at the MILP level.
+// Operator value pins (Sec. 6.3) translated as pin rows become singleton
+// rows that presolve chases through the y-definition and big-M rows,
+// eliminating whole z/y/δ triples before the simplex runs. This bench
+// measures the solve of the pinned S*(AC) with and without presolve as the
+// number of pinned cells grows — the model shape of a validation session in
+// its later iterations. (The repair core itself takes pins as bound changes
+// on its persisted components, so it has no presolve stage.)
 
 #include <benchmark/benchmark.h>
 
@@ -36,18 +38,26 @@ void RunPinned(benchmark::State& state, bool presolve) {
   Scenario scenario = MakeBudgetScenario(/*seed=*/77, /*years=*/6,
                                          /*num_errors=*/3);
   const auto pins = MakePins(scenario, pins_count);
-  dart::repair::RepairEngineOptions options;
-  options.milp.decomposition.use_presolve = presolve;
-  dart::repair::RepairEngine engine(options);
+  auto translation = dart::repair::TranslateToMilp(
+      scenario.acquired, scenario.constraints, {}, pins);
+  DART_CHECK_MSG(translation.ok(), translation.status().ToString());
+  dart::milp::MilpOptions options;
+  options.objective_is_integral = true;
+  auto solve = [&] {
+    return presolve
+               ? dart::milp::SolveMilpWithPresolve(translation->model, options)
+               : dart::milp::SolveMilp(translation->model, options);
+  };
   for (auto _ : state) {
-    auto outcome =
-        engine.ComputeRepair(scenario.acquired, scenario.constraints, pins);
-    DART_CHECK_MSG(outcome.ok(), outcome.status().ToString());
-    benchmark::DoNotOptimize(outcome->repair.cardinality());
+    const dart::milp::MilpResult solved = solve();
+    DART_CHECK(solved.status == dart::milp::MilpResult::SolveStatus::kOptimal);
+    benchmark::DoNotOptimize(solved.objective);
   }
+  dart::obs::RunContext run;
+  options.run = &run;
+  solve();
   state.counters["lp_iters"] = static_cast<double>(
-      dart::bench::CollectRepairCounters(scenario, options, pins)
-          .lp_iterations);
+      run.metrics().Snapshot().Counter("milp.lp_iterations"));
 }
 
 void BM_PinnedRepair_Presolve(benchmark::State& state) {

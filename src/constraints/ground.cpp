@@ -80,11 +80,16 @@ Result<GroundProgram> GroundConstraintProgram(
 }
 
 Result<std::vector<Violation>> EvaluateGroundProgram(
-    const rel::Database& db, const GroundProgram& program) {
+    const rel::Database& db, const GroundProgram& program,
+    const std::map<rel::CellRef, double>& overrides) {
   std::vector<Violation> violations;
   for (const GroundRow& row : program.rows) {
     double measure_sum = 0;
     for (const auto& [cell, coeff] : row.coefficients) {
+      if (auto it = overrides.find(cell); it != overrides.end()) {
+        measure_sum += coeff * it->second;
+        continue;
+      }
       DART_ASSIGN_OR_RETURN(rel::Value v, db.ValueAt(cell));
       if (!v.is_numeric()) {
         return Status::InvalidArgument("measure cell " + cell.ToString() +

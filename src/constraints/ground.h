@@ -60,7 +60,10 @@ Result<GroundProgram> GroundConstraintProgram(
 /// the violated instances, in row (= constraint, then substitution) order —
 /// the same order `ConsistencyChecker::Check` reports. Violations carry the
 /// constraint's original lhs/rhs space, not the shifted row space.
+/// `overrides` replaces the value of each listed cell, so the rows can be
+/// evaluated at ρ(D) for a repair ρ without cloning the database.
 Result<std::vector<Violation>> EvaluateGroundProgram(
-    const rel::Database& db, const GroundProgram& program);
+    const rel::Database& db, const GroundProgram& program,
+    const std::map<rel::CellRef, double>& overrides = {});
 
 }  // namespace dart::cons

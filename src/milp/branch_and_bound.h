@@ -67,33 +67,10 @@ struct SearchOptions {
   std::shared_ptr<const LpBasis> root_basis;
 };
 
-/// Knobs of the model-shrinking stages that run before the search
-/// (MilpOptions::decomposition). Consumed by the repair engine's solve
-/// dispatch (repair/engine.cpp) — SolveMilp itself never decomposes; callers
-/// go through SolveMilpDecomposed / SolveMilpWithPresolve (decompose.h,
-/// presolve.h) which these flags select between.
-struct DecompositionOptions {
-  /// Run MILP presolve before branch-and-bound. Operator value pins are
-  /// singleton rows that presolve chases through the y-definition and big-M
-  /// rows, shrinking heavily-validated instances dramatically.
-  bool use_presolve = true;
-  /// Split the (presolved) model into connected components of the
-  /// variable–constraint incidence graph and solve them concurrently on one
-  /// work-stealing pool (decompose.h). Cells from different acquired
-  /// documents never share a ground row, and presolve-chased pins cut
-  /// chains, so validation-loop instances are usually block-structured. Also
-  /// enables per-component big-M retries in the repair engine: components
-  /// accepted as optimal and unsaturated are pinned on a retry instead of
-  /// being re-solved.
-  bool use_components = true;
-};
-
 struct MilpOptions {
   LpOptions lp;
   /// Search knobs (threads, warm starts, node limit, branching).
   SearchOptions search;
-  /// Pre-search model shrinking (presolve, connected components).
-  DecompositionOptions decomposition;
   /// Integrality tolerance.
   double int_tol = 1e-6;
   /// When the objective provably takes integer values on integral points

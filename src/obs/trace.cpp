@@ -95,22 +95,11 @@ void TraceCollector::AdmitClosedLocked(SpanRecord record) {
 }
 
 void TraceCollector::EvictOldestLocked() {
-  SpanRecord evicted = std::move(ring_.front());
   ring_.pop_front();
   dropped_.fetch_add(1, std::memory_order_relaxed);
   if (registry_ != nullptr) registry_->AddCounter("obs.spans_dropped");
-  // Splice the evicted span out of the tree: its children hang off its own
-  // parent instead. `evicted.parent < evicted.id < child.id`, so the
-  // parent-precedes-child invariant survives.
-  auto reparent = [&](SpanRecord& record) {
-    if (record.parent == evicted.id) record.parent = evicted.parent;
-  };
-  for (SpanRecord& record : pinned_) reparent(record);
-  for (SpanRecord& record : open_) reparent(record);
-  for (SpanRecord& record : ring_) reparent(record);
-  for (auto& [name, tail] : tails_) {
-    for (SpanRecord& record : tail) reparent(record);
-  }
+  // O(1): the evicted span's children keep their now-dangling parent id and
+  // Snapshot() re-roots them, so eviction never walks the surviving spans.
 }
 
 std::vector<SpanRecord> TraceCollector::Snapshot() const {
@@ -125,8 +114,8 @@ std::vector<SpanRecord> TraceCollector::Snapshot() const {
   }
   std::sort(out.begin(), out.end(),
             [](const SpanRecord& a, const SpanRecord& b) { return a.id < b.id; });
-  // A child begun *after* its parent's eviction (explicit-parent spans) can
-  // still reference a dropped id; re-root it so the snapshot is a tree.
+  // A child whose parent was evicted still references the dropped id;
+  // re-root it so the snapshot is a tree.
   std::unordered_set<int64_t> ids;
   ids.reserve(out.size());
   for (const SpanRecord& record : out) ids.insert(record.id);

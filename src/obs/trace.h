@@ -25,8 +25,9 @@
 /// sampling): the representative early iterations of each stage survive even
 /// when the ring has churned many times over. Open spans are never evicted.
 /// Every eviction increments the `obs.spans_dropped` registry counter (when
-/// a registry is bound) and reparents the evicted span's children to its
-/// parent so the surviving records still form a valid tree.
+/// a registry is bound) and costs O(1): the evicted span's children keep
+/// its id as their parent, and Snapshot() re-roots every record whose parent
+/// is gone (parent 0), so the surviving records still form a valid tree.
 ///
 /// Head sampling alone goes blind exactly where an always-on server needs
 /// eyes: the pinned early spans are warm-up, and by the time a tail-latency

@@ -6,25 +6,23 @@
 #include "repair/engine.h"
 
 /// \file batch.h
-/// Fused multi-database repair: N acquired databases translated together and
-/// solved as ONE `SolveMilpBatch` call over the union of their
-/// constraint-graph components.
+/// Fused multi-database repair: N acquired databases repaired together, with
+/// the components of all of them solved in shared `SolveMilpBatch` calls.
 ///
 /// `RepairEngine::ComputeRepair` pays the scheduler entry (thread fan-out,
 /// pool warm-up) once per document; a batch of N documents pays it N times
 /// and leaves workers idle whenever one document's components drain before
-/// the next call starts. `ComputeRepairBatch` instead runs the engine's
-/// per-attempt pipeline — translate, presolve, decompose — per document,
-/// pools every component of every document into a single batch (sorted
-/// largest-first across documents, like the per-document decomposition
-/// order), solves once, and stitches each document's slice back through
-/// `StitchDecomposition`. Big-M retries stay per document: a saturated
-/// document re-enters the next round's batch with grown M and
-/// clean-component pins while finished documents drop out.
+/// the next call starts. `ComputeRepairBatch` instead starts one
+/// IncrementalRepairSession per document (translate + decompose fan out
+/// across the pool) and steps them in lockstep (SolveInLockstep): each round
+/// pools every document's dirty components into one batch, largest first
+/// across documents, and each document then runs its own per-component
+/// big-M test, so a saturated component re-enters the next round while
+/// finished documents drop out.
 ///
 /// Per-document results are bit-identical to `ComputeRepair` at
 /// `num_threads <= 1` (the serial batch path solves each component with the
-/// same deterministic `SolveMilp` the per-document path bottoms out in) and
+/// same deterministic `SolveMilp` a single session bottoms out in) and
 /// agree on any thread count whenever optima are unique.
 
 namespace dart::repair {
@@ -42,15 +40,13 @@ struct BatchRepairRequest {
 
 /// Repairs every request against `constraints` under `options`, fusing all
 /// MILP components into shared `SolveMilpBatch` calls (one per big-M
-/// attempt round). Returns one Result per request, in request order; a
-/// failing document (malformed instance, no repair exists, ...) fails only
-/// its own slot.
+/// round). Returns one Result per request, in request order; a failing
+/// document (malformed instance, no repair exists, ...) fails only its own
+/// slot.
 ///
-/// Stats caveat: `solve_seconds` / `milp_wall_seconds` of each outcome
-/// record the *shared* batch solve wall of the rounds the document took
-/// part in, not an attributed per-document share. With
-/// `options.use_exhaustive_solver` or decomposition disabled the fused path
-/// degenerates to a serial per-document `ComputeRepair` loop.
+/// Stats caveat: `solve_seconds` of each outcome records the *shared* batch
+/// solve wall of the rounds the document took part in, not an attributed
+/// per-document share.
 std::vector<Result<RepairOutcome>> ComputeRepairBatch(
     const std::vector<BatchRepairRequest>& requests,
     const cons::ConstraintSet& constraints,

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <utility>
 
-#include "constraints/eval.h"
 #include "milp/scheduler.h"
 #include "obs/context.h"
 
@@ -22,8 +21,11 @@ double Seconds(std::chrono::steady_clock::time_point begin,
 
 IncrementalRepairSession::IncrementalRepairSession(
     const rel::Database& db, const cons::ConstraintSet& constraints,
-    RepairEngineOptions options)
-    : db_(&db), constraints_(&constraints), options_(std::move(options)) {}
+    RepairEngineOptions options, const cons::GroundProgram* ground)
+    : db_(&db),
+      constraints_(&constraints),
+      options_(std::move(options)),
+      ground_(ground) {}
 
 int IncrementalRepairSession::num_components() const {
   return initialized_ ? decomposition_.num_components() : 0;
@@ -32,20 +34,16 @@ int IncrementalRepairSession::num_components() const {
 Status IncrementalRepairSession::Initialize(obs::RunContext* run) {
   obs::Span translate_span(run, "repair.translate");
   DART_ASSIGN_OR_RETURN(
-      translation_, TranslateToMilp(*db_, *constraints_, options_.translator));
+      translation_, TranslateGrounded(*db_, *ground_, options_.translator));
   translate_span.End();
 
   decomposition_ = milp::DecomposeModel(translation_.model);
-  components_.assign(decomposition_.components.size(), ComponentState{});
+  component_results_.assign(decomposition_.components.size(),
+                            milp::MilpResult{});
+  dirty_.assign(decomposition_.components.size(), 1);
 
   const size_t n_cells = translation_.cells.size();
   cell_index_.clear();
-  cell_of_zvar_.assign(
-      static_cast<size_t>(translation_.model.num_variables()), -1);
-  for (size_t i = 0; i < n_cells; ++i) {
-    cell_of_zvar_[static_cast<size_t>(translation_.z_vars[i])] =
-        static_cast<int>(i);
-  }
   component_of_cell_.assign(n_cells, -1);
   cells_of_component_.assign(decomposition_.components.size(), {});
   cell_big_m_ = translation_.big_m;
@@ -86,12 +84,10 @@ Status IncrementalRepairSession::ApplyPinDiff(
       return Status::InvalidArgument("fixed value targets unknown cell " +
                                      pin.cell.ToString());
     }
-    // No box check here: the bound change z ∈ [v, v] is legal for any v
-    // (unlike a from-scratch translation, whose practical M is floored at
-    // 1 + |pin| to keep the pin inside the z box). A pin far outside the
-    // component's current boxes surfaces as component infeasibility or y
-    // saturation, and the ×100 grow-retry below then widens the boxes —
-    // the same adaptive-M behavior the engine shows, shifted one round.
+    // No box check here: the bound change z ∈ [v, v] is legal for any v. A
+    // pin far outside the component's current boxes surfaces as component
+    // infeasibility or y saturation, and the ×100 grow-retry then widens
+    // the boxes.
     auto [pos, inserted] = next.emplace(it->second, pin.value);
     if (!inserted && pos->second != pin.value) {
       // Two pin rows z = a and z = b with a ≠ b are infeasible.
@@ -109,7 +105,7 @@ Status IncrementalRepairSession::ApplyPinDiff(
         decomposition_.local_of_var[translation_.z_vars[cell]];
     decomposition_.components[comp].model.SetVariableBounds(local, lower,
                                                             upper);
-    components_[comp].dirty = true;
+    dirty_[comp] = 1;
     return Status::Ok();
   };
 
@@ -155,67 +151,54 @@ void IncrementalRepairSession::GrowComponentBigM(int component) {
   }
 }
 
-Result<RepairOutcome> IncrementalRepairSession::ComputeRepair(
+Status IncrementalRepairSession::Start(
     const std::vector<FixedValue>& fixed_values, const Repair* warm_start) {
-  RepairOutcome outcome;
-  obs::RunContext* const run =
-      options_.run != nullptr ? options_.run : options_.milp.run;
-  obs::Span incremental_span(run, "repair.incremental");
+  obs::RunContext* const run = this->run();
+  call_ = Call{};
+  call_.fixed_values = fixed_values;
 
-  // Fast path shared with the engine: already consistent and nothing pinned.
+  if (ground_ == nullptr) {
+    DART_ASSIGN_OR_RETURN(own_ground_,
+                          cons::GroundConstraintProgram(*db_, *constraints_));
+    obs::Count(run, "repair.groundings");
+    ground_ = &own_ground_;
+  }
+  // Fast path: already consistent and nothing pinned.
   if (fixed_values.empty()) {
-    cons::ConsistencyChecker checker(constraints_);
-    DART_ASSIGN_OR_RETURN(bool consistent, checker.IsConsistent(*db_));
-    if (consistent) {
-      outcome.already_consistent = true;
-      return outcome;
+    DART_ASSIGN_OR_RETURN(std::vector<cons::Violation> violations,
+                          cons::EvaluateGroundProgram(*db_, *ground_));
+    if (violations.empty()) {
+      call_.outcome.already_consistent = true;
+      return Status::Ok();
     }
   }
 
   const auto t0 = std::chrono::steady_clock::now();
   if (!initialized_) {
     DART_RETURN_IF_ERROR(Initialize(run));
-    outcome.stats.translate_seconds = Seconds(t0, std::chrono::steady_clock::now());
+    call_.outcome.stats.translate_seconds =
+        Seconds(t0, std::chrono::steady_clock::now());
     obs::Observe(run, "repair.translate_seconds",
-                 outcome.stats.translate_seconds);
+                 call_.outcome.stats.translate_seconds);
   } else {
     obs::Count(run, "repair.incremental.translate_skipped");
   }
   DART_RETURN_IF_ERROR(ApplyPinDiff(fixed_values));
-  if (decomposition_.constant_row_infeasible ||
-      decomposition_.rowless_infeasible) {
-    return Status::Infeasible(
-        "no repair exists for the database w.r.t. the given constraints" +
-        std::string(fixed_values.empty() ? "" : " and operator pins"));
-  }
 
-  const size_t num_comps = components_.size();
-  last_dirty_components_ = 0;
-  for (const ComponentState& cs : components_) {
-    if (cs.dirty) ++last_dirty_components_;
-  }
+  last_dirty_components_ = static_cast<int>(
+      std::count(dirty_.begin(), dirty_.end(), char{1}));
   last_clean_reused_ =
-      static_cast<int>(num_comps) - last_dirty_components_;
+      static_cast<int>(dirty_.size()) - last_dirty_components_;
   obs::Count(run, "repair.incremental.dirty_components",
              last_dirty_components_);
   obs::Count(run, "repair.incremental.clean_reused", last_clean_reused_);
-
-  milp::MilpOptions milp_options = options_.milp;
-  milp_options.run = run;
-  milp_options.initial_point.clear();
-  bool integral_objective = true;
-  for (const CellWeight& weight : options_.translator.weights) {
-    if (weight.weight != std::floor(weight.weight)) integral_objective = false;
-  }
-  milp_options.objective_is_integral = integral_objective;
 
   // Candidate assignment shared by the zero-change fast path and the warm
   // incumbent hint: pinned z at the pin, every other z at its hinted (or
   // current) value, y and δ derived. A component whose slice has objective 0
   // *and* is feasible is provably optimal without a solve — Σ wᵢδᵢ ≥ 0.
-  const int n = translation_.model.num_variables();
-  std::vector<double> candidate(static_cast<size_t>(n), 0.0);
-  std::vector<double> hint;
+  const size_t n = static_cast<size_t>(translation_.model.num_variables());
+  call_.candidate.assign(n, 0.0);
   std::map<rel::CellRef, double> hinted;
   if (warm_start != nullptr) {
     for (const AtomicUpdate& update : warm_start->updates()) {
@@ -223,251 +206,275 @@ Result<RepairOutcome> IncrementalRepairSession::ComputeRepair(
         hinted[update.cell] = update.new_value.AsReal();
       }
     }
-    hint.assign(static_cast<size_t>(n), 0.0);
+    call_.hint.assign(n, 0.0);
   }
+  auto assign = [this](std::vector<double>& point, size_t cell, double z) {
+    const double y = z - translation_.current_values[cell];
+    point[static_cast<size_t>(translation_.z_vars[cell])] = z;
+    point[static_cast<size_t>(translation_.y_vars[cell])] = y;
+    point[static_cast<size_t>(translation_.delta_vars[cell])] =
+        std::fabs(y) > 1e-9 ? 1.0 : 0.0;
+  };
   for (size_t i = 0; i < translation_.cells.size(); ++i) {
     auto pin = applied_pins_.find(static_cast<int>(i));
     const double v = translation_.current_values[i];
-    const double z = pin != applied_pins_.end() ? pin->second : v;
-    const double y = z - v;
-    candidate[static_cast<size_t>(translation_.z_vars[i])] = z;
-    candidate[static_cast<size_t>(translation_.y_vars[i])] = y;
-    candidate[static_cast<size_t>(translation_.delta_vars[i])] =
-        std::fabs(y) > 1e-9 ? 1.0 : 0.0;
+    assign(call_.candidate, i, pin != applied_pins_.end() ? pin->second : v);
     if (warm_start != nullptr) {
       auto it = hinted.find(translation_.cells[i]);
-      const double hz = it != hinted.end() ? it->second : v;
-      const double hy = hz - v;
-      hint[static_cast<size_t>(translation_.z_vars[i])] = hz;
-      hint[static_cast<size_t>(translation_.y_vars[i])] = hy;
-      hint[static_cast<size_t>(translation_.delta_vars[i])] =
-          std::fabs(hy) > 1e-9 ? 1.0 : 0.0;
+      assign(call_.hint, i, it != hinted.end() ? it->second : v);
     }
   }
-  auto slice = [&](const std::vector<double>& full, int comp) {
-    const milp::Component& component = decomposition_.components[comp];
+  call_.solving = true;
+  return Status::Ok();
+}
+
+std::vector<int> IncrementalRepairSession::BeginRound() {
+  call_.round_dirty.clear();
+  std::vector<int> to_solve;
+  for (size_t c = 0; c < dirty_.size(); ++c) {
+    if (!dirty_[c]) continue;
+    call_.round_dirty.push_back(static_cast<int>(c));
+    const milp::Component& component = decomposition_.components[c];
     std::vector<double> local;
     local.reserve(component.vars.size());
     for (int v : component.vars) {
-      local.push_back(full[static_cast<size_t>(v)]);
+      local.push_back(call_.candidate[static_cast<size_t>(v)]);
     }
-    return local;
-  };
+    if (milp::EvalTerms(component.model.objective_terms(), local) < 0.5 &&
+        milp::IsFeasiblePoint(component.model, local)) {
+      milp::MilpResult zero;
+      zero.status = milp::MilpResult::SolveStatus::kOptimal;
+      zero.objective = 0;
+      zero.point = std::move(local);
+      zero.has_incumbent = true;
+      zero.best_bound = 0;
+      // Keep whatever root basis the last real solve captured — it stays a
+      // valid warm start for a future re-solve of this component.
+      zero.root_basis = std::move(component_results_[c].root_basis);
+      component_results_[c] = std::move(zero);
+    } else {
+      to_solve.push_back(static_cast<int>(c));
+    }
+  }
+  return to_solve;
+}
 
-  int retries = 0;
-  for (;;) {
-    std::vector<int> dirty;
-    for (size_t c = 0; c < num_comps; ++c) {
-      if (components_[c].dirty) dirty.push_back(static_cast<int>(c));
+void IncrementalRepairSession::EndRound() {
+  // Infeasibility and a |yᵢ| pressing against its Mᵢ box are both symptoms
+  // of a too-small M. Clean components were accepted by this same test when
+  // they were last solved.
+  std::vector<int> grow;
+  for (int c : call_.round_dirty) {
+    dirty_[c] = 0;
+    const milp::MilpResult& r = component_results_[c];
+    bool needs_grow = milp::IsInfeasibleStatus(r.status);
+    if (!needs_grow && r.status == milp::MilpResult::SolveStatus::kOptimal &&
+        r.has_incumbent) {
+      for (int cell : cells_of_component_[c]) {
+        const int local =
+            decomposition_.local_of_var[translation_.y_vars[cell]];
+        if (std::fabs(r.point[static_cast<size_t>(local)]) >=
+            0.999 * cell_big_m_[cell]) {
+          needs_grow = true;
+          break;
+        }
+      }
     }
-    if (dirty.empty()) break;
+    if (needs_grow) grow.push_back(c);
+  }
+  if (grow.empty() || call_.retries >= options_.max_bigm_retries) return;
+  ++call_.retries;
+  obs::Count(run(), "repair.bigm_retries");
+  for (int c : grow) {
+    GrowComponentBigM(c);
+    dirty_[c] = 1;
+  }
+}
+
+void SolveInLockstep(const std::vector<IncrementalRepairSession*>& sessions) {
+  if (sessions.empty()) return;
+  const RepairEngineOptions& options = sessions.front()->options_;
+  obs::RunContext* const run = sessions.front()->run();
+  milp::MilpOptions milp_options = options.milp;
+  milp_options.run = run;
+  milp_options.initial_point.clear();
+  // The card-minimal objective Σδᵢ is integral on every integral point; let
+  // the solver round its bounds for pruning. Confidence weights break that
+  // property unless they all happen to be integers — in any session, since
+  // the round's options are shared.
+  milp_options.objective_is_integral = true;
+  for (const IncrementalRepairSession* session : sessions) {
+    for (const CellWeight& weight : session->options_.translator.weights) {
+      if (weight.weight != std::floor(weight.weight)) {
+        milp_options.objective_is_integral = false;
+      }
+    }
+  }
+
+  struct Slot {
+    IncrementalRepairSession* session;
+    int component;
+  };
+  for (;;) {
+    std::vector<IncrementalRepairSession*> active;
+    for (IncrementalRepairSession* session : sessions) {
+      if (session->call_.solving &&
+          std::find(session->dirty_.begin(), session->dirty_.end(), 1) !=
+              session->dirty_.end()) {
+        active.push_back(session);
+      }
+    }
+    if (active.empty()) return;
 
     obs::Span attempt_span(run, "repair.attempt");
     obs::Count(run, "repair.attempts");
-    std::vector<int> to_solve;
-    for (int c : dirty) {
-      const milp::Component& component = decomposition_.components[c];
-      std::vector<double> local = slice(candidate, c);
-      if (milp::EvalTerms(component.model.objective_terms(), local) < 0.5 &&
-          milp::IsFeasiblePoint(component.model, local)) {
-        milp::MilpResult zero;
-        zero.status = milp::MilpResult::SolveStatus::kOptimal;
-        zero.objective = 0;
-        zero.point = std::move(local);
-        zero.has_incumbent = true;
-        zero.best_bound = 0;
-        // Keep whatever root basis the last real solve captured — it stays a
-        // valid warm start for a future re-solve of this component.
-        zero.root_basis = std::move(components_[c].result.root_basis);
-        components_[c].result = std::move(zero);
-      } else {
-        to_solve.push_back(c);
-      }
+    std::vector<Slot> slots;
+    std::vector<IncrementalRepairSession*> solving;
+    for (IncrementalRepairSession* session : active) {
+      const std::vector<int> to_solve = session->BeginRound();
+      if (!to_solve.empty()) solving.push_back(session);
+      for (int c : to_solve) slots.push_back(Slot{session, c});
     }
-    if (!to_solve.empty()) {
+    if (!slots.empty()) {
+      // Largest model first across sessions: the small blocks fill in behind
+      // the big ones on a shared pool instead of the reverse.
+      auto model_of = [](const Slot& slot) -> const milp::Model& {
+        return slot.session->decomposition_.components[slot.component].model;
+      };
+      std::stable_sort(slots.begin(), slots.end(),
+                       [&](const Slot& a, const Slot& b) {
+                         return model_of(a).num_variables() >
+                                model_of(b).num_variables();
+                       });
+      std::vector<milp::BatchModel> batch(slots.size());
+      for (size_t k = 0; k < slots.size(); ++k) {
+        const IncrementalRepairSession& session = *slots[k].session;
+        const int c = slots[k].component;
+        batch[k].model = &model_of(slots[k]);
+        if (!session.call_.hint.empty()) {
+          for (int v : session.decomposition_.components[c].vars) {
+            batch[k].initial_point.push_back(
+                session.call_.hint[static_cast<size_t>(v)]);
+          }
+        }
+        batch[k].root_basis = session.component_results_[c].root_basis;
+      }
+
       const auto s0 = std::chrono::steady_clock::now();
       obs::Span solve_span(run, "repair.solve");
-      std::vector<milp::BatchModel> batch(to_solve.size());
-      for (size_t k = 0; k < to_solve.size(); ++k) {
-        const int c = to_solve[k];
-        batch[k].model = &decomposition_.components[c].model;
-        if (warm_start != nullptr) batch[k].initial_point = slice(hint, c);
-        batch[k].root_basis = components_[c].result.root_basis;
-      }
       std::vector<milp::MilpResult> solved =
           milp::SolveMilpBatch(batch, milp_options);
       solve_span.End();
-      for (size_t k = 0; k < to_solve.size(); ++k) {
-        const int c = to_solve[k];
+      const double wall = Seconds(s0, std::chrono::steady_clock::now());
+
+      for (size_t k = 0; k < slots.size(); ++k) {
+        milp::MilpResult& previous =
+            slots[k].session->component_results_[slots[k].component];
         if (solved[k].root_basis == nullptr) {
-          solved[k].root_basis = std::move(components_[c].result.root_basis);
+          solved[k].root_basis = std::move(previous.root_basis);
         }
-        components_[c].result = std::move(solved[k]);
-        outcome.stats.milp_wall_seconds += components_[c].result.wall_seconds;
+        slots[k].session->call_.outcome.stats.milp_wall_seconds +=
+            solved[k].wall_seconds;
+        previous = std::move(solved[k]);
       }
-      outcome.stats.solve_seconds += Seconds(s0, std::chrono::steady_clock::now());
-    }
-
-    // Big-M analysis per previously-dirty component: infeasibility and a
-    // |yᵢ| pressing against its Mᵢ box are both symptoms of a too-small M
-    // (engine semantics). Clean components were accepted by this same test
-    // when they were last solved.
-    std::vector<int> grow;
-    for (int c : dirty) {
-      components_[c].dirty = false;
-      const milp::MilpResult& r = components_[c].result;
-      bool needs_grow = milp::IsInfeasibleStatus(r.status);
-      if (!needs_grow &&
-          r.status == milp::MilpResult::SolveStatus::kOptimal &&
-          r.has_incumbent) {
-        for (int cell : cells_of_component_[c]) {
-          const int local =
-              decomposition_.local_of_var[translation_.y_vars[cell]];
-          if (std::fabs(r.point[static_cast<size_t>(local)]) >=
-              0.999 * cell_big_m_[cell]) {
-            needs_grow = true;
-            break;
-          }
-        }
+      // The pool is shared, so every session records the round's wall.
+      for (IncrementalRepairSession* session : solving) {
+        session->call_.outcome.stats.solve_seconds += wall;
       }
-      if (needs_grow) grow.push_back(c);
     }
-    if (grow.empty() || retries >= options_.max_bigm_retries) break;
-    ++retries;
-    obs::Count(run, "repair.bigm_retries");
-    for (int c : grow) {
-      GrowComponentBigM(c);
-      components_[c].dirty = true;
-    }
+    for (IncrementalRepairSession* session : active) session->EndRound();
   }
+}
 
-  // Stitch the cached optima exactly like SolveDecomposition: statuses
-  // combine with the monolithic precedence, objectives add over disjoint
-  // variable sets.
-  bool any_unbounded = false;
-  bool any_infeasible = false;
-  bool any_node_limit = false;
-  double objective_sum = decomposition_.rowless_objective;
-  for (const ComponentState& cs : components_) {
-    switch (cs.result.status) {
-      case milp::MilpResult::SolveStatus::kOptimal:
-        objective_sum += cs.result.objective;
-        break;
-      case milp::MilpResult::SolveStatus::kUnbounded:
-        any_unbounded = true;
-        break;
-      case milp::MilpResult::SolveStatus::kInfeasible:
-      case milp::MilpResult::SolveStatus::kLpRelaxationInfeasible:
-        any_infeasible = true;
-        break;
-      case milp::MilpResult::SolveStatus::kNodeLimit:
-        any_node_limit = true;
-        break;
+Status IncrementalRepairSession::Verify(const Repair& repair) const {
+  obs::Span verify_span(run(), "repair.verify");
+  std::map<rel::CellRef, double> repaired;
+  for (const AtomicUpdate& update : repair.updates()) {
+    repaired[update.cell] = update.new_value.AsReal();
+  }
+  // The ground program is repair-invariant (steadiness), so evaluating its
+  // rows at ρ(D)'s values is the full consistency check.
+  DART_ASSIGN_OR_RETURN(std::vector<cons::Violation> violations,
+                        cons::EvaluateGroundProgram(*db_, *ground_, repaired));
+  if (!violations.empty()) {
+    return Status::Internal(
+        "solver returned a repair that does not satisfy AC — numerical "
+        "failure in the MILP layer");
+  }
+  for (const FixedValue& pin : call_.fixed_values) {
+    auto it = repaired.find(pin.cell);
+    double value = 0;
+    if (it != repaired.end()) {
+      value = it->second;
+    } else {
+      DART_ASSIGN_OR_RETURN(rel::Value current, db_->ValueAt(pin.cell));
+      value = current.AsReal();
+    }
+    if (std::fabs(value - pin.value) > 1e-6) {
+      return Status::Internal("operator pin not honored by the repair");
     }
   }
+  return Status::Ok();
+}
 
-  outcome.stats.num_cells = translation_.cells.size();
-  outcome.stats.num_ground_rows = translation_.ground_rows.size();
-  outcome.stats.matrix_rows = translation_.matrix_rows;
-  outcome.stats.matrix_cols = translation_.matrix_cols;
-  outcome.stats.matrix_nnz = translation_.matrix_nnz;
-  outcome.stats.matrix_density = translation_.matrix_density;
-  outcome.stats.practical_m = translation_.practical_m;
-  outcome.stats.theoretical_m_log10 = translation_.theoretical_m_log10;
-  outcome.stats.bigm_retries = retries;
-  outcome.stats.num_components = decomposition_.num_components();
-  outcome.stats.largest_component_vars =
-      decomposition_.largest_component_vars;
-  obs::Observe(run, "repair.solve_seconds", outcome.stats.solve_seconds);
+Result<RepairOutcome> IncrementalRepairSession::Finish() {
+  obs::RunContext* const run = this->run();
+  if (!call_.solving) return std::move(call_.outcome);
+  call_.solving = false;
+  RepairStats& stats = call_.outcome.stats;
+  stats.num_cells = translation_.cells.size();
+  stats.num_ground_rows = translation_.ground_rows.size();
+  stats.matrix_rows = translation_.matrix_rows;
+  stats.matrix_cols = translation_.matrix_cols;
+  stats.matrix_nnz = translation_.matrix_nnz;
+  stats.matrix_density = translation_.matrix_density;
+  stats.practical_m = translation_.practical_m;
+  stats.theoretical_m_log10 = translation_.theoretical_m_log10;
+  stats.bigm_retries = call_.retries;
+  stats.num_components = decomposition_.num_components();
+  stats.largest_component_vars = decomposition_.largest_component_vars;
+  obs::Observe(run, "repair.solve_seconds", stats.solve_seconds);
 
-  if (any_unbounded) {
-    return Status::Internal("repair MILP reported unbounded");
-  }
-  if (any_infeasible) {
-    return Status::Infeasible(
-        "no repair exists for the database w.r.t. the given constraints" +
-        std::string(fixed_values.empty() ? "" : " and operator pins"));
-  }
-  if (any_node_limit) {
-    return Status::FailedPrecondition(
-        "MILP node limit reached before proving optimality");
-  }
-
-  std::vector<double> point(static_cast<size_t>(n), 0.0);
-  for (size_t k = 0; k < decomposition_.rowless_vars.size(); ++k) {
-    point[static_cast<size_t>(decomposition_.rowless_vars[k])] =
-        decomposition_.rowless_values[k];
-  }
-  for (size_t c = 0; c < num_comps; ++c) {
-    const milp::Component& component = decomposition_.components[c];
-    const milp::MilpResult& r = components_[c].result;
-    for (size_t l = 0; l < component.vars.size(); ++l) {
-      point[static_cast<size_t>(component.vars[l])] = r.point[l];
-    }
+  const milp::MilpResult stitched = milp::StitchDecomposition(
+      decomposition_, translation_.model, component_results_);
+  switch (stitched.status) {
+    case milp::MilpResult::SolveStatus::kInfeasible:
+    case milp::MilpResult::SolveStatus::kLpRelaxationInfeasible:
+      return Status::Infeasible(
+          "no repair exists for the database w.r.t. the given constraints" +
+          std::string(call_.fixed_values.empty() ? "" : " and operator pins"));
+    case milp::MilpResult::SolveStatus::kNodeLimit:
+      return Status::FailedPrecondition(
+          "MILP node limit reached before proving optimality");
+    case milp::MilpResult::SolveStatus::kUnbounded:
+      return Status::Internal("repair MILP reported unbounded");
+    case milp::MilpResult::SolveStatus::kOptimal:
+      break;
   }
 
-  DART_ASSIGN_OR_RETURN(Repair repair,
-                        internal::ExtractRepair(*db_, translation_, point));
+  DART_ASSIGN_OR_RETURN(
+      Repair repair,
+      internal::ExtractRepair(*db_, translation_, stitched.point));
+  // Under the card-minimal objective (no weights), the cardinality must
+  // equal the MILP optimum (Sec. 5: the objective value is the number of
+  // atomic updates of a card-minimal repair).
   if (options_.translator.weights.empty() &&
-      static_cast<double>(repair.cardinality()) > objective_sum + 0.5) {
+      static_cast<double>(repair.cardinality()) > stitched.objective + 0.5) {
     return Status::Internal(
         "extracted repair cardinality exceeds the MILP optimum");
   }
-  if (options_.verify_result) {
-    obs::Span verify_span(run, "repair.verify");
-    // Verify in translated space. The ground rows of S(AC) are exactly the
-    // instantiated constraints over the z variables (same 1e-6 absolute
-    // tolerance as cons::SatisfiesCompare), so evaluating them at the
-    // extracted repaired values decides AC satisfaction without cloning the
-    // database and re-running the ConsistencyChecker — the from-scratch
-    // engine's verify is O(database) per iteration and dominated incremental
-    // iteration time before this.
-    std::vector<double> repaired_values = translation_.current_values;
-    for (const AtomicUpdate& update : repair.updates()) {
-      const auto it = cell_index_.find(update.cell);
-      if (it == cell_index_.end()) {
-        return Status::Internal("extracted update targets unknown cell " +
-                                update.cell.ToString());
-      }
-      repaired_values[static_cast<size_t>(it->second)] =
-          update.new_value.AsReal();
-    }
-    // Translated without pins, the model's rows are the 3 structural rows
-    // per cell followed by exactly the ground rows.
-    const size_t ground_begin = 3 * translation_.cells.size();
-    const std::vector<milp::Row>& rows = translation_.model.rows();
-    if (rows.size() != ground_begin + translation_.ground_rows.size()) {
-      return Status::Internal(
-          "persisted translation has unexpected row layout");
-    }
-    for (size_t r = ground_begin; r < rows.size(); ++r) {
-      double lhs = 0;
-      for (const milp::LinearTerm& term : rows[r].terms) {
-        const int cell = cell_of_zvar_[static_cast<size_t>(term.variable)];
-        lhs += term.coefficient * repaired_values[static_cast<size_t>(cell)];
-      }
-      const bool satisfied =
-          rows[r].sense == milp::RowSense::kLe   ? lhs <= rows[r].rhs + 1e-6
-          : rows[r].sense == milp::RowSense::kGe ? lhs >= rows[r].rhs - 1e-6
-                                                 : std::fabs(lhs - rows[r].rhs) <= 1e-6;
-      if (!satisfied) {
-        return Status::Internal(
-            "solver returned a repair that does not satisfy AC — numerical "
-            "failure in the MILP layer");
-      }
-    }
-    for (const FixedValue& pin : fixed_values) {
-      // ApplyPinDiff already rejected pins on unknown cells.
-      const int cell = cell_index_.at(pin.cell);
-      if (std::fabs(repaired_values[static_cast<size_t>(cell)] - pin.value) >
-          1e-6) {
-        return Status::Internal("operator pin not honored by the repair");
-      }
-    }
-  }
+  if (options_.verify_result) DART_RETURN_IF_ERROR(Verify(repair));
   OrderUpdatesForDisplay(translation_, &repair);
-  outcome.repair = std::move(repair);
-  return outcome;
+  call_.outcome.repair = std::move(repair);
+  return std::move(call_.outcome);
+}
+
+Result<RepairOutcome> IncrementalRepairSession::ComputeRepair(
+    const std::vector<FixedValue>& fixed_values, const Repair* warm_start) {
+  obs::Span incremental_span(run(), "repair.incremental");
+  DART_RETURN_IF_ERROR(Start(fixed_values, warm_start));
+  SolveInLockstep({this});
+  return Finish();
 }
 
 }  // namespace dart::repair

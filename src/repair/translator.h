@@ -31,8 +31,8 @@ namespace dart::repair {
 /// How the big-M constant is chosen. The theoretical bound of [22]
 /// (n·(ma)^(2m+1)) astronomically overflows doubles for any real instance, so
 /// DART solves with a practical data-driven M and *verifies* afterwards that
-/// no |yᵢ| touched its Mᵢ (RepairEngine then enlarges M and re-solves if one
-/// did). bench_bigm_ablation quantifies the effect of the magnitude of M.
+/// no |yᵢ| touched its Mᵢ (the repair core then enlarges that component's M
+/// and re-solves it). bench_bigm_ablation quantifies the effect of the magnitude of M.
 struct BigMPolicy {
   /// M = multiplier · (max(|vᵢ|, |K_j|, coefficient magnitudes, 1)).
   double multiplier = 4.0;
@@ -92,8 +92,8 @@ struct Translation {
   /// graph (cells from different acquired documents never share a ground
   /// row, so this is a document-structure fingerprint of the instance).
   /// Cells outside every ground row form singleton components. This is the
-  /// pre-pin, pre-presolve view; the solver recomputes components on the
-  /// presolved model, where pins usually split these further.
+  /// pre-pin view of the cells; the repair core decomposes the translated
+  /// model itself.
   std::vector<int> cell_component;
   int num_cell_components = 0;
 
@@ -132,10 +132,9 @@ Result<Translation> TranslateToMilp(
     const std::vector<FixedValue>& fixed_values = {});
 
 /// Builds S*(AC) from an already-ground program — grounding once per
-/// database and translating per big-M attempt (the repair engine's retry
-/// loop grows M without re-grounding; the batch path shares one grounding
-/// between violation detection and translation). `program` must have been
-/// produced by `GroundConstraintProgram(db, ...)` for this same `db`.
+/// database (the pipeline shares one grounding between violation detection,
+/// translation and verification). `program` must have been produced by
+/// `GroundConstraintProgram(db, ...)` for this same `db`.
 ///
 /// Same failure modes as TranslateToMilp minus the grounding ones: still
 /// Infeasible on a violated constant ground row.

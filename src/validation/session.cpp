@@ -85,16 +85,12 @@ Result<SessionResult> RunValidationSession(
   repair::RepairEngineOptions engine_options = options.engine;
   if (engine_options.run == nullptr) engine_options.run = run;
   repair::RepairEngine engine(engine_options);
-  // The incremental session persists the translation, the component
-  // decomposition and per-component optima/bases across iterations, so each
-  // re-solve costs only the components the newest pins touched. The
-  // exhaustive baseline has no incremental counterpart — it exists to
-  // cross-check the branch-and-bound solver, so it keeps the from-scratch
-  // path.
-  const bool use_incremental =
-      options.use_incremental && !engine_options.use_exhaustive_solver;
+  // The incremental session persists the ground program, the translation,
+  // the component decomposition and per-component optima/bases across
+  // iterations, so each re-solve costs only the components the newest pins
+  // touched. The from-scratch arm starts a fresh session per iteration.
   std::optional<repair::IncrementalRepairSession> incremental;
-  if (use_incremental) {
+  if (options.use_incremental) {
     incremental.emplace(acquired, constraints, engine_options);
   }
   SessionResult result;
@@ -131,7 +127,7 @@ Result<SessionResult> RunValidationSession(
         iteration == 0 ? nullptr : &previous_repair;
     DART_ASSIGN_OR_RETURN(
         repair::RepairOutcome outcome,
-        use_incremental
+        incremental.has_value()
             ? incremental->ComputeRepair(pins, warm)
             : engine.ComputeRepair(acquired, constraints, pins, warm));
 

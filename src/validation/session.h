@@ -28,15 +28,15 @@ namespace dart::validation {
 
 struct SessionOptions {
   repair::RepairEngineOptions engine;
-  /// Compute repairs through a session-scoped IncrementalRepairSession
-  /// (repair/incremental.h): translate + decompose once, then re-solve only
-  /// the components whose pins changed, reusing every clean component's
-  /// cached optimum and warm-starting dirty ones from their previous root
-  /// basis. Exact — iteration results match the from-scratch engine (the
-  /// pinned models are the same mathematical programs) — so this is a pure
-  /// perf knob; off falls back to RepairEngine::ComputeRepair per iteration,
-  /// kept as the exactness oracle (tests/incremental_test.cpp asserts
-  /// parity). Ignored (from-scratch used) with use_exhaustive_solver.
+  /// Compute repairs through one session-scoped IncrementalRepairSession
+  /// (repair/incremental.h): ground, translate + decompose once, then
+  /// re-solve only the components whose pins changed, reusing every clean
+  /// component's cached optimum and warm-starting dirty ones from their
+  /// previous root basis. Exact — iteration results match the from-scratch
+  /// engine (the pinned models are the same mathematical programs) — so
+  /// this is a pure perf knob; off calls RepairEngine::ComputeRepair (a
+  /// fresh session) per iteration, the no-reuse baseline
+  /// (tests/incremental_test.cpp asserts parity).
   bool use_incremental = true;
   /// Updates examined per iteration before re-computing; 0 = all of them.
   size_t examine_batch = 0;

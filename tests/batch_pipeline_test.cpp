@@ -2,9 +2,8 @@
 // fused N-document path must be observably equivalent to N independent
 // Submit() calls — identical acquisitions, violations, repairs, and
 // repaired instances on the serial path — while failures stay per-document,
-// the shared grounding happens exactly once per document, slots carry their
-// request ids, and the deprecated Process*/ProcessBatch* wrappers stay
-// behaviorally identical to the unified entry points.
+// the shared grounding happens exactly once per document, and slots carry
+// their request ids.
 
 #include <gtest/gtest.h>
 
@@ -299,33 +298,6 @@ TEST(BatchPipelineTest, PositionalBatchMatchesPositionalProcess) {
     ExpectDocEqualsSerial(
         batch.documents[i].result,
         pipeline->Submit(ProcessRequest::FromPositional(documents[i])));
-  }
-}
-
-// The deprecated entry points are thin wrappers: Process / ProcessBatch /
-// ProcessBatchPositional must return exactly what the unified Submit /
-// SubmitBatch calls they forward to return.
-TEST(BatchPipelineTest, DeprecatedWrappersMatchUnifiedApi) {
-  Rng ref_rng(7);
-  rel::Database reference =
-      CashBudgetFixture::Random({}, &ref_rng).value();
-  PipelineOptions options;
-  options.engine.milp.search.num_threads = 1;
-  auto pipeline = MakePipeline(reference, options);
-  ASSERT_TRUE(pipeline.ok());
-
-  const std::vector<std::string> htmls = MakeBatchHtmls(13, 3, {1, 0, 2});
-  ExpectDocEqualsSerial(pipeline->Process(htmls[0]),
-                        pipeline->Submit(ProcessRequest::FromHtml(htmls[0])));
-  auto wrapped = pipeline->ProcessBatch(htmls);
-  ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
-  BatchOutcome unified = pipeline->SubmitBatch(BatchRequest::FromHtmls(htmls));
-  ASSERT_EQ(wrapped->documents.size(), unified.documents.size());
-  for (size_t i = 0; i < htmls.size(); ++i) {
-    SCOPED_TRACE("doc " + std::to_string(i));
-    EXPECT_EQ(wrapped->documents[i].id, unified.documents[i].id);
-    ExpectDocEqualsSerial(wrapped->documents[i].result,
-                          unified.documents[i].result);
   }
 }
 

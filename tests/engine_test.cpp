@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "constraints/eval.h"
 #include "constraints/parser.h"
+#include "milp/exhaustive.h"
 #include "ocr/cash_budget.h"
 #include "ocr/catalog.h"
 #include "ocr/noise.h"
@@ -165,8 +168,6 @@ TEST_F(RunningExampleEngineTest, DisplayOrderPutsMostConstrainedFirst) {
 TEST_F(RunningExampleEngineTest, ExhaustiveSolverAgrees) {
   // Exhaustive enumeration is 2^N residual solves, so cross-check on a
   // one-year, two-detail budget (7 measure cells → 128 assignments).
-  RepairEngineOptions options;
-  options.use_exhaustive_solver = true;
   ocr::CashBudgetOptions small;
   small.num_years = 1;
   small.receipt_details = 1;
@@ -180,13 +181,16 @@ TEST_F(RunningExampleEngineTest, ExhaustiveSolverAgrees) {
   cons::ConstraintSet constraints =
       ParseProgram(noisy, CashBudgetFixture::ConstraintProgram());
 
-  RepairEngine exhaustive(options);
+  auto translation = TranslateToMilp(noisy, constraints);
+  ASSERT_TRUE(translation.ok()) << translation.status().ToString();
+  const milp::MilpResult exhaustive =
+      milp::SolveByBinaryEnumeration(translation->model);
+  ASSERT_EQ(exhaustive.status, milp::MilpResult::SolveStatus::kOptimal);
   RepairEngine standard;
-  auto a = exhaustive.ComputeRepair(noisy, constraints);
   auto b = standard.ComputeRepair(noisy, constraints);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_EQ(a->repair.cardinality(), b->repair.cardinality());
+  EXPECT_EQ(static_cast<double>(b->repair.cardinality()),
+            std::round(exhaustive.objective));
 }
 
 // --- Randomized properties ------------------------------------------------

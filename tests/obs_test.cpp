@@ -513,7 +513,6 @@ TEST(TraceTest, DecomposedBatchSolveFormsWellNestedSpanTree) {
   milp::MilpOptions options;
   options.objective_is_integral = true;
   options.search.num_threads = 4;
-  options.decomposition.use_presolve = false;  // keep both components alive
   options.run = &run;
   const milp::Model model = TwoBlockModel();
   const milp::MilpResult result = milp::SolveMilpDecomposed(model, options);
@@ -567,7 +566,6 @@ TEST(TraceTest, SerialBatchNestsSearchUnderInstanceSpans) {
   milp::MilpOptions options;
   options.objective_is_integral = true;
   options.search.num_threads = 1;
-  options.decomposition.use_presolve = false;
   options.run = &run;
   const milp::Model model = TwoBlockModel();
   const milp::MilpResult result = milp::SolveMilpDecomposed(model, options);
@@ -982,6 +980,45 @@ TEST(TraceRingTest, OverflowDropsExactlyAndKeepsValidTree) {
     }
     EXPECT_GE(span.duration_ns, 0);
   }
+}
+
+// Eviction does not touch the surviving spans: a pinned child of an evicted
+// parent keeps the dropped id until Snapshot() re-roots it to parent 0, not
+// to the evicted span's own (still open) parent.
+TEST(TraceRingTest, SnapshotReRootsChildrenOfEvictedParents) {
+  TraceOptions options;
+  options.capacity = 1;
+  options.head_samples_per_name = 1;
+  RunContext run(options);
+  // Use up the head samples of the parent and grandparent names, so the
+  // spans below go through the ring; "ring.child" stays unsampled.
+  { Span warm(&run, "ring.grandparent"); }
+  { Span warm(&run, "ring.parent"); }
+
+  Span grandparent(&run, "ring.grandparent");
+  int64_t parent_id = 0;
+  int64_t child_id = 0;
+  {
+    Span parent(&run, "ring.parent");
+    parent_id = parent.id();
+    Span child(&run, "ring.child");  // pinned: first of its name
+    child_id = child.id();
+  }
+  // The parent closed into the ring; one more closed span evicts it.
+  { Span filler(&run, "ring.parent"); }
+  EXPECT_EQ(run.trace().spans_dropped(), 1);
+
+  const std::vector<SpanRecord> spans = run.trace().Snapshot();
+  const SpanRecord* child = nullptr;
+  bool have_grandparent = false;
+  for (const SpanRecord& span : spans) {
+    EXPECT_NE(span.id, parent_id) << "the parent must have been evicted";
+    if (span.id == child_id) child = &span;
+    if (span.id == grandparent.id()) have_grandparent = true;
+  }
+  ASSERT_NE(child, nullptr) << "the pinned child must survive";
+  EXPECT_TRUE(have_grandparent);
+  EXPECT_EQ(child->parent, 0);
 }
 
 TEST(TraceRingTest, OpenSpansSurviveZeroCapacity) {

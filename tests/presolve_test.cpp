@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "constraints/parser.h"
 #include "milp/presolve.h"
 #include "ocr/cash_budget.h"
@@ -174,15 +176,23 @@ TEST(PresolveRepairTest, PinnedRepairInstancesAgree) {
                   .ok());
   std::vector<repair::FixedValue> pins = {{{"CashBudget", 3, 4}, 250.0},
                                           {{"CashBudget", 1, 4}, 100.0}};
-  repair::RepairEngineOptions with, without;
-  with.milp.decomposition.use_presolve = true;
-  without.milp.decomposition.use_presolve = false;
-  repair::RepairEngine a(with), b(without);
-  auto ra = a.ComputeRepair(*db, constraints, pins);
-  auto rb = b.ComputeRepair(*db, constraints, pins);
-  ASSERT_TRUE(ra.ok()) << ra.status().ToString();
-  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
-  EXPECT_EQ(ra->repair.cardinality(), rb->repair.cardinality());
+  // Presolve is a MILP-level stage: the pinned translation solves to the
+  // same optimum with and without it, and the repair core (which takes pins
+  // as bound changes instead) agrees.
+  auto translation = repair::TranslateToMilp(*db, constraints, {}, pins);
+  ASSERT_TRUE(translation.ok()) << translation.status().ToString();
+  MilpOptions options;
+  options.objective_is_integral = true;
+  const MilpResult with = SolveMilpWithPresolve(translation->model, options);
+  const MilpResult without = SolveMilp(translation->model, options);
+  ASSERT_EQ(with.status, MilpResult::SolveStatus::kOptimal);
+  ASSERT_EQ(without.status, MilpResult::SolveStatus::kOptimal);
+  EXPECT_NEAR(with.objective, without.objective, 1e-6);
+  EXPECT_GT(with.presolve_variables_eliminated, 0);
+  auto repaired = repair::RepairEngine().ComputeRepair(*db, constraints, pins);
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+  EXPECT_EQ(static_cast<double>(repaired->repair.cardinality()),
+            std::round(without.objective));
 }
 
 }  // namespace
