@@ -138,6 +138,7 @@ BENCHMARK(BM_TranslateVsYears)
     ->Arg(4)
     ->Arg(16)
     ->Arg(64)
+    ->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

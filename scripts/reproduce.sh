@@ -38,6 +38,18 @@ python3 scripts/check_bench_regression.py \
   BENCH_bench_repair_scaling.json BENCH_bench_repair_scaling.seed.json \
   --max-ratio 1.3 || exit 1
 
+# E1 linearity gate: grounding is O(tuples + sum of |T_chi|), so translating
+# 4x the years may cost at most 6x (a scan per binding reads about 16x).
+python3 - <<'PY' || exit 1
+import json
+rows = {b["name"]: b["real_time"]
+        for b in json.load(open("BENCH_bench_repair_scaling.json"))["benchmarks"]
+        if b.get("run_type") != "aggregate"}
+ratio = rows["BM_TranslateVsYears/256"] / rows["BM_TranslateVsYears/64"]
+print(f"BM_TranslateVsYears 256/64 = {ratio:.2f}x (gate 6x)")
+raise SystemExit(0 if ratio <= 6 else 1)
+PY
+
 # E16 gate: the decomposition sweep must stay within 1.3x of its seed — in
 # particular the decomposed solves must not creep back toward the monolithic
 # times.

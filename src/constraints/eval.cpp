@@ -151,6 +151,20 @@ Result<std::vector<rel::Value>> ResolveCallArgs(const AggregateTerm& term,
   return out;
 }
 
+Result<bool> EvalWhereComparison(const AggregationFunction& fn,
+                                 const Comparison& cmp,
+                                 const rel::RelationSchema& schema,
+                                 const rel::Tuple& tuple,
+                                 const std::vector<rel::Value>& param_values) {
+  DART_ASSIGN_OR_RETURN(rel::Value lhs,
+                        ResolveOperand(cmp.lhs, schema, tuple, fn,
+                                       param_values));
+  DART_ASSIGN_OR_RETURN(rel::Value rhs,
+                        ResolveOperand(cmp.rhs, schema, tuple, fn,
+                                       param_values));
+  return EvalCompare(lhs, cmp.op, rhs);
+}
+
 Result<std::vector<size_t>> AggregationTupleSet(
     const rel::Database& db, const AggregationFunction& fn,
     const std::vector<rel::Value>& param_values) {
@@ -171,15 +185,9 @@ Result<std::vector<size_t>> AggregationTupleSet(
     bool matches = true;
     for (const Comparison& cmp : fn.where) {
       DART_ASSIGN_OR_RETURN(
-          rel::Value lhs,
-          ResolveOperand(cmp.lhs, relation->schema(), tuple, fn, param_values));
-      DART_ASSIGN_OR_RETURN(
-          rel::Value rhs,
-          ResolveOperand(cmp.rhs, relation->schema(), tuple, fn, param_values));
-      if (!EvalCompare(lhs, cmp.op, rhs)) {
-        matches = false;
-        break;
-      }
+          matches, EvalWhereComparison(fn, cmp, relation->schema(), tuple,
+                                       param_values));
+      if (!matches) break;
     }
     if (matches) out.push_back(row);
   }

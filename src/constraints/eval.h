@@ -40,8 +40,19 @@ Result<std::vector<Binding>> GroundSubstitutions(
 Result<std::vector<rel::Value>> ResolveCallArgs(const AggregateTerm& term,
                                                 const Binding& binding);
 
+/// Whether `tuple` of χ's relation satisfies the WHERE conjunct `cmp` under
+/// `param_values`. Fails when an operand names an attribute missing from
+/// `schema` or a parameter `fn` does not declare.
+Result<bool> EvalWhereComparison(const AggregationFunction& fn,
+                                 const Comparison& cmp,
+                                 const rel::RelationSchema& schema,
+                                 const rel::Tuple& tuple,
+                                 const std::vector<rel::Value>& param_values);
+
 /// T_χ: indices of the tuples of χ's relation satisfying the WHERE clause
-/// under the given parameter values (paper Sec. 5).
+/// under the given parameter values (paper Sec. 5). A scan of the whole
+/// relation; `GroundConstraintProgram` answers the same question from an
+/// index.
 Result<std::vector<size_t>> AggregationTupleSet(
     const rel::Database& db, const AggregationFunction& fn,
     const std::vector<rel::Value>& param_values);

@@ -48,11 +48,24 @@ struct GroundProgram {
   /// the theoretical big-M bound), starting at 1. Accumulated before
   /// cancellation-dropping, exactly as the translator always did.
   double max_abs_factor = 1;
+  /// Work counts of the grounding: premise substitutions grounded, and
+  /// tuples visited building the per-function indexes plus tuples visited
+  /// probing them.
+  size_t bindings = 0;
+  size_t tuple_visits = 0;
 };
 
 /// Grounds `constraints` against `db`. Fails on non-steady constraint sets
 /// (grounding would not survive repairs), dangling aggregation functions,
 /// missing relations, and non-numeric summed attributes.
+///
+/// T_χ comes from an equality index built, at the function's first use, over
+/// the tuple values of the WHERE attributes compared by `=` to a parameter;
+/// each (substitution, term) is one bucket lookup, and the other comparisons
+/// are re-checked per candidate. The rows, their order and every coefficient
+/// are those of scanning the relation per substitution (AggregationTupleSet);
+/// the cost is O(tuples + Σ|T_χ|) per function instead of
+/// O(substitutions × tuples). The index lives for this call only.
 Result<GroundProgram> GroundConstraintProgram(
     const rel::Database& db, const ConstraintSet& constraints);
 

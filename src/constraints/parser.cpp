@@ -1,6 +1,7 @@
 #include "constraints/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <set>
 
 #include "util/strings.h"
@@ -17,6 +18,7 @@ struct Token {
   double number = 0;  ///< kNumber payload.
   bool number_is_int = false;
   int line = 0;
+  int64_t integer = 0;  ///< kNumber payload when number_is_int.
 };
 
 class Lexer {
@@ -41,7 +43,8 @@ class Lexer {
       if (std::isdigit(static_cast<unsigned char>(c)) ||
           (c == '.' && pos_ + 1 < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_ + 1])))) {
-        out.push_back(LexNumber());
+        DART_ASSIGN_OR_RETURN(Token tok, LexNumber());
+        out.push_back(std::move(tok));
         continue;
       }
       if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
@@ -72,17 +75,29 @@ class Lexer {
     return Token{TokKind::kString, std::move(payload), 0, false, line};
   }
 
-  Token LexNumber() {
+  /// A run of digits and dots, which must read in full as one double (so
+  /// `1.2.3` and out-of-range literals are errors). A dot-free literal that
+  /// fits int64 is an integer; a longer one is a real.
+  Result<Token> LexNumber() {
     size_t start = pos_;
-    bool is_int = true;
     while (pos_ < text_.size() &&
            (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
             text_[pos_] == '.')) {
-      if (text_[pos_] == '.') is_int = false;
       ++pos_;
     }
-    std::string lit = text_.substr(start, pos_ - start);
-    return Token{TokKind::kNumber, lit, std::stod(lit), is_int, line_};
+    Token tok{TokKind::kNumber, text_.substr(start, pos_ - start), 0, false,
+              line_};
+    const char* begin = tok.text.data();
+    const char* end = begin + tok.text.size();
+    const auto [real_end, real_error] = std::from_chars(begin, end, tok.number);
+    if (real_error != std::errc() || real_end != end) {
+      return Status::ParseError("malformed or out-of-range number '" +
+                                tok.text + "' at line " +
+                                std::to_string(line_));
+    }
+    const auto [int_end, int_error] = std::from_chars(begin, end, tok.integer);
+    tok.number_is_int = int_error == std::errc() && int_end == end;
+    return tok;
   }
 
   Token LexName() {
@@ -193,6 +208,7 @@ class Parser {
     DART_RETURN_IF_ERROR(ExpectPunct(":="));
     if (!MatchKeyword("sum")) return Error("expected 'sum'");
     DART_RETURN_IF_ERROR(ExpectPunct("("));
+    expr_operators_ = 0;
     DART_ASSIGN_OR_RETURN(fn.expr, ParseAttrExpr());
     DART_RETURN_IF_ERROR(ExpectPunct(")"));
     if (!MatchKeyword("from")) return Error("expected 'from'");
@@ -212,6 +228,7 @@ class Parser {
     DART_ASSIGN_OR_RETURN(AttributeExprPtr lhs, ParseAttrTerm());
     while (Peek().kind == TokKind::kPunct &&
            (Peek().text == "+" || Peek().text == "-")) {
+      DART_RETURN_IF_ERROR(CountOperator());
       char op = Advance().text[0];
       DART_ASSIGN_OR_RETURN(AttributeExprPtr rhs, ParseAttrTerm());
       lhs = MakeBinaryExpr(std::move(lhs), op, std::move(rhs));
@@ -224,6 +241,7 @@ class Parser {
     if (Peek().kind == TokKind::kNumber) {
       double value = Advance().number;
       if (MatchPunct("*")) {
+        DART_RETURN_IF_ERROR(CountOperator());
         DART_ASSIGN_OR_RETURN(AttributeExprPtr child, ParseAttrFactor());
         return MakeScaleExpr(value, std::move(child));
       }
@@ -232,10 +250,31 @@ class Parser {
     return ParseAttrFactor();
   }
 
+  // Every operator deepens the expression tree, which evaluation and
+  // destruction walk recursively; capping them per expression keeps a
+  // hostile chain like V+V+...+V from exhausting the stack there.
+  Status CountOperator() {
+    if (++expr_operators_ > kMaxExprOperators) {
+      return Error("expression has more than " +
+                   std::to_string(kMaxExprOperators) + " operators");
+    }
+    return Status::Ok();
+  }
+
   // factor := NAME | '(' expr ')'
+  // Parentheses nest at most kMaxExprDepth deep, so a hostile program
+  // cannot exhaust the stack through this recursion.
   Result<AttributeExprPtr> ParseAttrFactor() {
     if (MatchPunct("(")) {
-      DART_ASSIGN_OR_RETURN(AttributeExprPtr inner, ParseAttrExpr());
+      if (expr_depth_ == kMaxExprDepth) {
+        return Result<AttributeExprPtr>(
+            Error("expression nested deeper than " +
+                  std::to_string(kMaxExprDepth) + " parentheses"));
+      }
+      ++expr_depth_;
+      Result<AttributeExprPtr> inner = ParseAttrExpr();
+      --expr_depth_;
+      if (!inner.ok()) return inner;
       DART_RETURN_IF_ERROR(ExpectPunct(")"));
       return inner;
     }
@@ -263,9 +302,8 @@ class Parser {
     }
     if (tok.kind == TokKind::kNumber) {
       const Token& num = Advance();
-      return Operand::Const(num.number_is_int
-                                ? rel::Value(static_cast<int64_t>(num.number))
-                                : rel::Value(num.number));
+      return Operand::Const(num.number_is_int ? rel::Value(num.integer)
+                                              : rel::Value(num.number));
     }
     if (tok.kind == TokKind::kName) {
       std::string name = Advance().text;
@@ -293,9 +331,8 @@ class Parser {
     }
     if (tok.kind == TokKind::kNumber) {
       const Token& num = Advance();
-      return TermArg::Const(num.number_is_int
-                                ? rel::Value(static_cast<int64_t>(num.number))
-                                : rel::Value(num.number));
+      return TermArg::Const(num.number_is_int ? rel::Value(num.integer)
+                                              : rel::Value(num.number));
     }
     if (tok.kind == TokKind::kName) {
       std::string name = Advance().text;
@@ -389,10 +426,15 @@ class Parser {
     return Status::Ok();
   }
 
+  static constexpr int kMaxExprDepth = 256;
+  static constexpr int kMaxExprOperators = 4096;
+
   const rel::DatabaseSchema& schema_;
   std::vector<Token> tokens_;
   ConstraintSet* out_;
   size_t index_ = 0;
+  int expr_depth_ = 0;
+  int expr_operators_ = 0;
   int wildcard_counter_ = 0;
 };
 

@@ -9,6 +9,7 @@
 #include "constraints/parser.h"
 #include "constraints/steady.h"
 #include "repair/batch.h"
+#include "repair/incremental.h"
 #include "util/task_pool.h"
 
 namespace dart::core {
@@ -133,12 +134,13 @@ Result<ProcessOutcome> DartPipeline::Submit(
   obs::Span detect_span(options_.run, "pipeline.detect");
   DART_ASSIGN_OR_RETURN(
       cons::GroundProgram ground,
-      cons::GroundConstraintProgram(outcome.acquisition.database,
-                                    constraints_));
-  obs::Count(options_.run, "repair.groundings");
+      repair::GroundObserved(options_.run, outcome.acquisition.database,
+                             constraints_));
+  obs::Span evaluate_span(options_.run, "detect.evaluate");
   DART_ASSIGN_OR_RETURN(outcome.violations,
                         cons::EvaluateGroundProgram(
                             outcome.acquisition.database, ground));
+  evaluate_span.End();
   detect_span.End();
   obs::SetGauge(options_.run, "pipeline.violations",
                 static_cast<double>(outcome.violations.size()));
@@ -231,13 +233,13 @@ BatchOutcome DartPipeline::SubmitBatch(const BatchRequest& request) const {
         partial.acquisition = std::move(acquired).value();
 
         obs::Span detect_span(options_.run, "pipeline.detect");
-        Result<cons::GroundProgram> ground = cons::GroundConstraintProgram(
-            partial.acquisition.database, constraints_);
+        Result<cons::GroundProgram> ground = repair::GroundObserved(
+            options_.run, partial.acquisition.database, constraints_);
         if (!ground.ok()) {
           slot.result = ground.status();
           return;
         }
-        obs::Count(options_.run, "repair.groundings");
+        obs::Span evaluate_span(options_.run, "detect.evaluate");
         Result<std::vector<cons::Violation>> violations =
             cons::EvaluateGroundProgram(partial.acquisition.database,
                                         ground.value());
@@ -246,6 +248,7 @@ BatchOutcome DartPipeline::SubmitBatch(const BatchRequest& request) const {
           return;
         }
         partial.violations = std::move(violations).value();
+        evaluate_span.End();
         detect_span.End();
         obs::SetGauge(options_.run, "pipeline.violations",
                       static_cast<double>(partial.violations.size()));

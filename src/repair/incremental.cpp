@@ -19,6 +19,20 @@ double Seconds(std::chrono::steady_clock::time_point begin,
 
 }  // namespace
 
+Result<cons::GroundProgram> GroundObserved(
+    const obs::RunContext* run, const rel::Database& db,
+    const cons::ConstraintSet& constraints) {
+  obs::Span span(run, "cons.ground");
+  DART_ASSIGN_OR_RETURN(cons::GroundProgram ground,
+                        cons::GroundConstraintProgram(db, constraints));
+  obs::Count(run, "repair.groundings");
+  obs::Count(run, "cons.ground.bindings",
+             static_cast<int64_t>(ground.bindings));
+  obs::Count(run, "cons.ground.tuple_visits",
+             static_cast<int64_t>(ground.tuple_visits));
+  return ground;
+}
+
 IncrementalRepairSession::IncrementalRepairSession(
     const rel::Database& db, const cons::ConstraintSet& constraints,
     RepairEngineOptions options, const cons::GroundProgram* ground)
@@ -159,14 +173,15 @@ Status IncrementalRepairSession::Start(
 
   if (ground_ == nullptr) {
     DART_ASSIGN_OR_RETURN(own_ground_,
-                          cons::GroundConstraintProgram(*db_, *constraints_));
-    obs::Count(run, "repair.groundings");
+                          GroundObserved(run, *db_, *constraints_));
     ground_ = &own_ground_;
   }
   // Fast path: already consistent and nothing pinned.
   if (fixed_values.empty()) {
+    obs::Span evaluate_span(run, "detect.evaluate");
     DART_ASSIGN_OR_RETURN(std::vector<cons::Violation> violations,
                           cons::EvaluateGroundProgram(*db_, *ground_));
+    evaluate_span.End();
     if (violations.empty()) {
       call_.outcome.already_consistent = true;
       return Status::Ok();

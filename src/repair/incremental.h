@@ -58,14 +58,23 @@
 ///
 /// Observability (docs/observability.md): one `repair.incremental` span per
 /// ComputeRepair call (`repair.compute` / `repair.batch` for the engine and
-/// the batch) with `repair.translate`, one `repair.attempt` per round (its
-/// `repair.solve` inside) and `repair.verify` nested inside, and the counters
+/// the batch) with `cons.ground` (only when the session grounds itself),
+/// `detect.evaluate` (the already-consistent test), `repair.translate`, one
+/// `repair.attempt` per round (its `repair.solve` inside) and
+/// `repair.verify` nested inside, and the counters
 /// repair.incremental.dirty_components / repair.incremental.clean_reused /
 /// repair.incremental.translate_skipped.
 
 namespace dart::repair {
 
 class IncrementalRepairSession;
+
+/// cons::GroundConstraintProgram inside a `cons.ground` span, counting
+/// repair.groundings and the grounding's work (cons.ground.bindings,
+/// cons.ground.tuple_visits) on `run`.
+Result<cons::GroundProgram> GroundObserved(
+    const obs::RunContext* run, const rel::Database& db,
+    const cons::ConstraintSet& constraints);
 
 /// Runs the started calls of `sessions` (see IncrementalRepairSession::Start)
 /// round by round until none has a dirty component. Every round solves all

@@ -227,6 +227,70 @@ TEST_F(ParserErrorTest, RejectsUnterminatedString) {
             StatusCode::kParseError);
 }
 
+// Tenant-supplied programs must fail with a located ParseError, never crash.
+TEST_F(ParserErrorTest, RejectsDeeplyNestedExpressionWithoutRecursingAway) {
+  const std::string nested =
+      "agg s(x) := sum(" + std::string(50000, '(') + "V" +
+      std::string(50000, ')') + ") from R where A = x;";
+  const Status status = Parse(nested);
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.message().find("line 1"), std::string::npos)
+      << status.ToString();
+  // Nesting up to the limit still parses.
+  EXPECT_TRUE(Parse("agg s(x) := sum(" + std::string(256, '(') + "V" +
+                    std::string(256, ')') + ") from R where A = x;")
+                  .ok());
+}
+
+TEST_F(ParserErrorTest, RejectsOverlongOperatorChain) {
+  // A left-deep V+V+...+V tree this long overflowed the stack when the
+  // expression was linearized or destroyed.
+  std::string chain = "V";
+  for (int i = 0; i < 100000; ++i) chain += "+V";
+  const Status status =
+      Parse("agg s(x) := sum(" + chain + ") from R where A = x;");
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  std::string longest = "V";
+  for (int i = 0; i < 4096; ++i) longest += i % 2 == 0 ? "+2*V" : "-V";
+  EXPECT_EQ(Parse("agg s(x) := sum(" + longest + ") from R where A = x;")
+                .code(),
+            StatusCode::kParseError);
+  longest = "V";
+  for (int i = 0; i < 2048; ++i) longest += i % 2 == 0 ? "+2*V" : "-V";
+  EXPECT_TRUE(
+      Parse("agg s(x) := sum(" + longest + ") from R where A = x;").ok());
+}
+
+TEST_F(ParserErrorTest, RejectsOutOfRangeNumberLiteral) {
+  const Status status =
+      Parse("agg s(x) := sum(V) from R where A = x;\n"
+            "constraint k: R(a, _) => s(a) <= " +
+            std::string(310, '9') + ";");
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.message().find("line 2"), std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(ParserErrorTest, RejectsMalformedNumberLiteral) {
+  const Status status =
+      Parse("agg s(x) := sum(V) from R where A = x;\n\n"
+            "constraint k: R(a, _) => s(a) <= 1.2.3;");
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.message().find("line 3"), std::string::npos)
+      << status.ToString();
+  // A dot-free literal beyond int64 reads as a real, not as a wrapped int.
+  ConstraintSet out;
+  ASSERT_TRUE(ParseConstraintProgram(
+                  Schema(),
+                  "agg s(x) := sum(V) from R where A = x;\n"
+                  "constraint k: R(a, _) => s(99999999999999999999) <= 1;",
+                  &out)
+                  .ok());
+  const rel::Value& arg = out.constraints()[0].terms[0].args[0].constant;
+  EXPECT_TRUE(arg.is_real());
+  EXPECT_DOUBLE_EQ(arg.AsReal(), 1e20);
+}
+
 TEST_F(ParserErrorTest, RejectsWildcardInCall) {
   EXPECT_FALSE(Parse("agg s(x) := sum(V) from R where A = x;\n"
                      "constraint k: R(a, _) => s(_) <= 1;")

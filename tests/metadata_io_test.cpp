@@ -132,6 +132,22 @@ end constraints
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
 }
 
+// A constraint section nesting 50,000 parentheses reaches the constraint
+// parser through the metadata file and fails there with a ParseError.
+TEST(MetadataIoTest, DeeplyNestedConstraintExpressionIsAParseError) {
+  std::string text = kCashBudgetMetadata;
+  const std::string nested =
+      "agg deep(x) := sum(" + std::string(50000, '(') + "Value" +
+      std::string(50000, ')') + ") from CashBudget where Year = x;\n";
+  text.insert(text.find("end constraints"), nested);
+  auto metadata = ParseMetadata(text);
+  ASSERT_TRUE(metadata.ok()) << metadata.status().ToString();
+  auto pipeline = DartPipeline::Create(std::move(metadata).value());
+  ASSERT_FALSE(pipeline.ok());
+  EXPECT_EQ(pipeline.status().code(), StatusCode::kParseError);
+  EXPECT_NE(pipeline.status().message().find("line"), std::string::npos);
+}
+
 TEST(MetadataIoTest, ErrorsAreNamed) {
   EXPECT_FALSE(ParseMetadata("domain ;").ok());
   EXPECT_FALSE(ParseMetadata("domain D: 'a'").ok());  // missing ';'

@@ -23,6 +23,8 @@
 #include <vector>
 
 #include "../bench/bench_util.h"
+#include "constraints/eval.h"
+#include "core/pipeline.h"
 #include "milp/branch_and_bound.h"
 #include "milp/decompose.h"
 #include "milp/model.h"
@@ -34,6 +36,7 @@
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "repair/engine.h"
+#include "repair/incremental.h"
 
 namespace dart::obs {
 namespace {
@@ -1382,6 +1385,110 @@ TEST(SinkTest, FailingSinkOpenAbortsStart) {
   const Status started = exporter.Start();
   ASSERT_FALSE(started.ok());
   EXPECT_EQ(started.code(), StatusCode::kInvalidArgument);
+}
+
+// --- Grounding layer -------------------------------------------------------
+
+// The grounding's tuple visits (index builds plus bucket probes) stay within
+// 2 × (relation size + Σ|T_χ|) on a 64-year budget. Scanning the relation per
+// (binding × term) would visit bindings × terms × tuples, far above the bound.
+TEST(GroundingWorkTest, TupleVisitsAreLinearOnA64YearBudget) {
+  const bench::Scenario scenario =
+      bench::MakeBudgetScenario(/*seed=*/7, /*years=*/64, /*num_errors=*/2);
+  RunContext run;
+  auto ground = repair::GroundObserved(&run, scenario.acquired,
+                                       scenario.constraints);
+  ASSERT_TRUE(ground.ok()) << ground.status().ToString();
+  const MetricsSnapshot snap = run.metrics().Snapshot();
+  EXPECT_EQ(snap.Counter("repair.groundings"), 1);
+  EXPECT_EQ(snap.Counter("cons.ground.bindings"),
+            static_cast<int64_t>(ground->rows.size()));
+  EXPECT_EQ(snap.Counter("cons.ground.tuple_visits"),
+            static_cast<int64_t>(ground->tuple_visits));
+
+  // Σ|T_χ| over every (binding, term), from the scanning AggregationTupleSet.
+  const size_t relation_size =
+      scenario.acquired.FindRelation("CashBudget")->size();
+  size_t tuple_set_total = 0;
+  size_t scan_visits = 0;
+  for (const cons::AggregateConstraint& constraint :
+       scenario.constraints.constraints()) {
+    auto bindings = cons::GroundSubstitutions(
+        scenario.acquired, constraint.premise,
+        cons::TermVariables(constraint));
+    ASSERT_TRUE(bindings.ok());
+    for (const cons::Binding& binding : *bindings) {
+      for (const cons::AggregateTerm& term : constraint.terms) {
+        auto params = cons::ResolveCallArgs(term, binding);
+        ASSERT_TRUE(params.ok());
+        auto tuples = cons::AggregationTupleSet(
+            scenario.acquired,
+            *scenario.constraints.FindFunction(term.function), *params);
+        ASSERT_TRUE(tuples.ok());
+        tuple_set_total += tuples->size();
+        scan_visits += relation_size;
+      }
+    }
+  }
+  const size_t bound = 2 * (relation_size + tuple_set_total);
+  EXPECT_LE(ground->tuple_visits, bound);
+  EXPECT_GT(scan_visits, 10 * bound);
+}
+
+// pipeline.detect splits into cons.ground and detect.evaluate on both the
+// single-document and the batch path.
+TEST(GroundingWorkTest, DetectSpanSplitsIntoGroundAndEvaluate) {
+  Rng rng(23);
+  const rel::Database reference =
+      ocr::CashBudgetFixture::Random({}, &rng).value();
+  core::AcquisitionMetadata metadata;
+  metadata.catalog = ocr::CashBudgetFixture::BuildCatalog(reference).value();
+  metadata.patterns = ocr::CashBudgetFixture::BuildPatterns();
+  metadata.mappings = {ocr::CashBudgetFixture::BuildMapping(reference).value()};
+  metadata.constraint_program = ocr::CashBudgetFixture::ConstraintProgram();
+  RunContext run;
+  core::PipelineOptions options;
+  options.run = &run;
+  options.engine.milp.search.num_threads = 1;
+  auto pipeline = core::DartPipeline::Create(std::move(metadata), options);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+
+  std::vector<std::string> htmls;
+  for (int d = 0; d < 3; ++d) {
+    rel::Database db = ocr::CashBudgetFixture::Random({}, &rng).value();
+    ASSERT_TRUE(ocr::InjectMeasureErrors(&db, 1, &rng).ok());
+    htmls.push_back(ocr::CashBudgetFixture::RenderHtml(db));
+  }
+  ASSERT_TRUE(
+      pipeline->Submit(core::ProcessRequest::FromHtml(htmls[0])).ok());
+  const core::BatchOutcome batch = pipeline->SubmitBatch(
+      core::BatchRequest::FromHtmls(std::span(htmls).subspan(1)));
+  for (const core::BatchSlot& slot : batch.documents) {
+    ASSERT_TRUE(slot.result.ok()) << slot.result.status().ToString();
+  }
+
+  std::map<int64_t, std::string> names;
+  const std::vector<SpanRecord> spans = run.trace().Snapshot();
+  for (const SpanRecord& span : spans) names[span.id] = span.name;
+  // The repair core, handed the pipeline's ground program, grounds nothing
+  // itself; its already-consistent test is a detect.evaluate of its own.
+  int grounds = 0, detect_evaluates = 0;
+  for (const SpanRecord& span : spans) {
+    if (span.name == "cons.ground") {
+      ++grounds;
+      EXPECT_EQ(names[span.parent], "pipeline.detect");
+    }
+    if (span.name == "detect.evaluate" &&
+        names[span.parent] == "pipeline.detect") {
+      ++detect_evaluates;
+    }
+  }
+  EXPECT_EQ(grounds, 3);
+  EXPECT_EQ(detect_evaluates, 3);
+  const MetricsSnapshot snap = run.metrics().Snapshot();
+  EXPECT_EQ(snap.Counter("repair.groundings"), 3);
+  EXPECT_GT(snap.Counter("cons.ground.bindings"), 0);
+  EXPECT_GT(snap.Counter("cons.ground.tuple_visits"), 0);
 }
 
 }  // namespace
